@@ -608,9 +608,10 @@ class QueryEngine:
         term)`` and truncated to ``top`` per field.  Counts come from
         posting-list intersection cardinalities
         (:func:`~repro.index.ranking.facet_counts`) — no match is ever
-        materialised.  Sharded: per-shard counts sum exactly (each doc
-        lives in one shard); shards are counted with ``top=None`` so the
-        global top-N cannot miss a term that is mid-pack in every shard.
+        materialised.  Sharded: one pass over every shard's live ids,
+        visiting terms by global document frequency and summing the exact
+        per-shard counts (each doc lives in one shard), so terms that cannot
+        reach the global top-N are never counted in any shard.
         """
         from repro.index import ranking
 
@@ -630,28 +631,12 @@ class QueryEngine:
         ):
             raise QueryError("facet 'top' must be a non-negative integer")
         if self._shard_engines is not None:
-
-            def shard_counts(shard_index: int) -> dict[str, list[tuple[str, int]]]:
-                engine = self._shard_engines[shard_index]
-                ids = self._live_eval(shard_index, node)
-                return {
-                    field: ranking.facet_counts(engine._index, ids, field, top=None)
-                    for field in fields
-                }
-
-            per_shard = self._map_shards(shard_counts)
-            result: dict[str, list[tuple[str, int]]] = {}
-            for field in fields:
-                totals: dict[str, int] = {}
-                for counts in per_shard:
-                    for term, count in counts[field]:
-                        totals[term] = totals.get(term, 0) + count
-                rows = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-                result[field] = rows[:top] if top is not None else rows
-            return result
-        ids = self._eval(node)
+            live = self._map_shards(lambda i: self._live_eval(i, node))
+            parts = list(zip(self._index.shards, live))
+        else:
+            parts = [(self._index, self._eval(node))]
         return {
-            field: ranking.facet_counts(self._index, ids, field, top=top)
+            field: ranking.facet_counts(parts, field, top=top)
             for field in fields
         }
 

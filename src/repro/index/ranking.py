@@ -322,42 +322,46 @@ def rank_recipes(
 
 
 def facet_counts(
-    index: RecipeIndex, ids: list[int], field: str, *, top: int | None = 10
+    parts: list[tuple[RecipeIndex, list[int]]], field: str, *, top: int | None = 10
 ) -> list[tuple[str, int]]:
     """Count matching docs per term of ``field`` — no match materialisation.
 
-    ``ids`` are the (sorted, local) matching doc ids; the result is
+    ``parts`` pairs each index (a monolithic index, or every shard of a
+    manifest) with its sorted, local, live matching doc ids; each doc lives
+    in exactly one part, so per-part counts sum exactly.  The result is
     ``[(term, count), ...]`` ordered by ``(-count, term)`` and truncated to
-    ``top`` (``None`` keeps every non-zero term — what a sharded caller
-    needs before summing globally).  Counts are posting-list intersection
-    *cardinalities* (:func:`~repro.index.query.intersect_count`, galloping
-    on skew); when the match set is the whole doc universe the header's
-    posting counts answer outright.  Terms are visited in descending
-    posting-count order so that, once ``top`` counts are banked and the next
-    upper bound cannot beat the worst of them, the remaining (strictly
-    smaller) terms are never decoded at all.
+    ``top`` (``None`` keeps every non-zero term).  Counts are posting-list
+    intersection *cardinalities* (:func:`~repro.index.query.intersect_count`,
+    galloping on skew); a part whose ids cover its whole doc universe
+    answers from header posting counts instead.  Terms are visited in
+    ``(-df, term)`` order, ``df`` being the summed header posting counts —
+    an upper bound on any count, tombstoned docs included — so once ``top``
+    counts are banked and the next bound is below the worst of them, the
+    remaining terms are never decoded at all.
     """
     if field not in FIELDS:
         raise QueryError(f"unknown facet field {field!r}; expected one of {FIELDS}")
-    universe = len(ids) == index.doc_count
-    candidates = sorted(
-        ((index.posting_count(field, term), term) for term in index.terms(field)),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
+    parts = [(index, ids, len(ids) == index.doc_count) for index, ids in parts if ids]
+    if top == 0 or not parts:
+        return []
+    bounds: dict[str, int] = defaultdict(int)
+    for index, _, _ in parts:
+        for term in index.terms(field):
+            bounds[term] += index.posting_count(field, term)
+    candidates = sorted(bounds.items(), key=lambda pair: (-pair[1], pair[0]))
     rows: list[tuple[int, str]] = []
     kept: list[int] = []  # min-heap of the top counts banked so far
-    if top == 0:
-        return []
-    for bound, term in candidates:
+    for term, bound in candidates:
         if top is not None and len(kept) == top and bound < kept[0]:
             break  # every later term's count <= bound < current top-N floor
-        if not ids:
-            break
-        if universe:
-            count = bound
-        else:
-            posting = index.postings(field, term)
-            count = intersect_count(ids, posting.ids) if posting is not None else 0
+        count = 0
+        for index, ids, universe in parts:
+            if universe:
+                count += index.posting_count(field, term)
+            else:
+                posting = index.postings(field, term)
+                if posting is not None:
+                    count += intersect_count(ids, posting.ids)
         if not count:
             continue
         rows.append((count, term))

@@ -40,7 +40,12 @@ from typing import Callable
 
 from repro.core.recipe_model import StructuredRecipe
 from repro.errors import DataError, PersistenceError
-from repro.index.sharding import ShardedRecipeIndex, commit_update, merge_shards
+from repro.index.sharding import (
+    ShardedRecipeIndex,
+    ShardManifest,
+    commit_update,
+    merge_shards,
+)
 from repro.ingest.tailer import JsonlTailer, TailBatch
 
 __all__ = ["IngestDaemon", "TieredCompactionPolicy"]
@@ -230,11 +235,12 @@ class IngestDaemon:
         Returns the compacted manifest, ``None`` when the policy is not
         triggered, and also ``None`` when the compaction lost the
         manifest race to a concurrent append (it will fire again on the
-        next cycle, against the newer generation).
+        next cycle, against the newer generation).  The policy reads the
+        manifest alone; shards are loaded (and verified) only once it fires.
         """
-        index = ShardedRecipeIndex.load(self._manifest_path)
-        if not self._policy.should_compact(index.manifest):
+        if not self._policy.should_compact(ShardManifest.load(self._manifest_path)):
             return None
+        index = ShardedRecipeIndex.load(self._manifest_path)
         num_shards = self._num_shards or index.manifest.num_shards
         try:
             compacted = merge_shards(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from repro.text.tokenizer import tokenize
 
@@ -40,6 +41,16 @@ UNICODE_FRACTIONS: dict[str, str] = {
     "⅞": "7/8",
 }
 
+#: ``(pattern, " a/b", "a/b")`` per fraction character, in dict order: the
+#: pattern matches the character right after a digit (a mixed fraction).
+_FRACTION_FOLDS: dict[str, tuple[re.Pattern, str, str]] = {
+    char: (re.compile(rf"(?<=\d){re.escape(char)}"), f" {ascii_form}", ascii_form)
+    for char, ascii_form in UNICODE_FRACTIONS.items()
+}
+
+#: Distinct phrases kept by the :func:`normalize_phrase` memo.
+_PHRASE_MEMO_SIZE = 16384
+
 _RANGE_PATTERN = re.compile(r"^(\d+(?:\.\d+)?)-(\d+(?:\.\d+)?)$")
 _MIXED_PATTERN = re.compile(r"^(\d+) (\d+)/(\d+)$")
 _FRACTION_PATTERN = re.compile(r"^(\d+)/(\d+)$")
@@ -50,11 +61,19 @@ def fold_unicode_fractions(text: str) -> str:
     """Replace unicode vulgar fractions with ASCII equivalents.
 
     A digit immediately followed by a unicode fraction ("1½") becomes a mixed
-    fraction with an explicit space ("1 1/2").
+    fraction with an explicit space ("1 1/2").  Characters are folded one
+    at a time in :data:`UNICODE_FRACTIONS` order, so ``"¼½"`` becomes
+    ``"1/4 1/2"`` but ``"½¼"`` becomes ``"1/21/4"``: a character only sees
+    a digit on its left once its left neighbour was folded first.
+    Replacements are ASCII, so a character absent from the input stays
+    absent and skipping it changes nothing.
     """
-    for char, ascii_form in UNICODE_FRACTIONS.items():
-        text = re.sub(rf"(?<=\d){re.escape(char)}", f" {ascii_form}", text)
-        text = text.replace(char, ascii_form)
+    if text.isascii():
+        return text
+    for char, (after_digit, spaced, ascii_form) in _FRACTION_FOLDS.items():
+        if char in text:
+            text = after_digit.sub(spaced, text)
+            text = text.replace(char, ascii_form)
     return text
 
 
@@ -63,8 +82,14 @@ def normalize_token(token: str) -> str:
     return token.lower().strip("-'")
 
 
+@lru_cache(maxsize=_PHRASE_MEMO_SIZE)
 def normalize_phrase(text: str) -> str:
-    """Canonical whitespace/case/fraction form of an entire phrase."""
+    """Canonical whitespace/case/fraction form of an entire phrase.
+
+    Memoized: index builds, entity extraction and every posting lookup
+    normalize the same few thousand phrases over and over.  The function
+    must therefore stay pure — its result may depend on ``text`` only.
+    """
     folded = fold_unicode_fractions(text)
     normalized = (normalize_token(token) for token in tokenize(folded))
     return " ".join(token for token in normalized if token)

@@ -184,12 +184,12 @@ class TestFacets:
         assert engine.facets("ingredient:tomato", "ingredient", top=0) == {
             "ingredient": []
         }
-        assert facet_counts(engine._index, [0, 1], "ingredient", top=0) == []
+        assert facet_counts([(engine._index, [0, 1])], "ingredient", top=0) == []
 
     def test_universe_fast_path_equals_the_general_path(self, engine):
         ids = list(range(engine._index.doc_count))
-        assert facet_counts(engine._index, ids, "ingredient") == facet_counts(
-            engine._index, ids[:-1] + ids[-1:], "ingredient", top=None
+        assert facet_counts([(engine._index, ids)], "ingredient") == facet_counts(
+            [(engine._index, ids[:-1] + ids[-1:])], "ingredient", top=None
         )
 
     def test_validation(self, engine):

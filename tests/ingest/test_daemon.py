@@ -183,6 +183,33 @@ def test_tiered_policy_compacts_deltas_and_resolves_tombstones(
     assert compacted.doc_count == 14
 
 
+def test_untriggered_compaction_check_loads_no_shard(
+    rng, manifest_path, feed, monkeypatch
+):
+    daemon = IngestDaemon(
+        manifest_path,
+        feed,
+        policy=TieredCompactionPolicy(max_deltas=2, max_tombstone_fraction=None),
+    )
+    loads = []
+    real_load = ShardedRecipeIndex.load.__func__
+    monkeypatch.setattr(
+        ShardedRecipeIndex,
+        "load",
+        classmethod(lambda cls, path: loads.append(path) or real_load(cls, path)),
+    )
+    _append(feed, _random_recipe(rng, "d0").to_json())
+    daemon.poll_once()
+    loads.clear()
+    assert daemon.compact_once() is None  # one delta, below max_deltas=2
+    assert loads == []
+    _append(feed, _random_recipe(rng, "d1").to_json())
+    daemon.poll_once()
+    loads.clear()
+    assert daemon.compact_once().delta_count == 0
+    assert loads  # the policy fired: now the shards are loaded to merge
+
+
 def test_tombstone_fraction_triggers_compaction(rng, manifest_path, feed):
     daemon = IngestDaemon(
         manifest_path,

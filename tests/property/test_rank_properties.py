@@ -13,7 +13,9 @@ thrown at every ranked evaluation path:
 and the results must agree: identical doc order (BM25 descending, doc id
 ascending on ties — including the all-zero-score queries a pure ``NOT``
 produces), scores within 1e-9 of the oracle, and identical spans.  Facet
-aggregations are held to a brute-force counter over the scanned corpus, and
+aggregations are held to a brute-force counter over the scanned corpus (with
+and without tombstones pending compaction, at every ``top``), the sharded
+facet pass is pinned to stop before it decodes every term, and
 the galloping set-algebra kernels are pinned element-wise to the linear
 ones on adversarially skewed inputs.
 """
@@ -24,6 +26,7 @@ import random
 
 import pytest
 
+from repro.core.recipe_model import IngredientRecord, StructuredRecipe
 from repro.corpus.sink import write_structured_jsonl
 from repro.index import (
     IndexBuilder,
@@ -31,6 +34,7 @@ from repro.index import (
     RecipeIndex,
     ShardedRecipeIndex,
     build_sharded_index,
+    delete_docs,
     extract_entities,
     matches_recipe,
     migrate_manifest,
@@ -146,31 +150,77 @@ def test_facets_equal_a_brute_force_counter(seed, tmp_path):
         num_shards=rng.randint(1, 6),
         format=rng.choice(("v1", "v2")),
     )
-    monolithic = QueryEngine(IndexBuilder.build_from_jsonl(path))
+    # Odd seeds tombstone a random subset: deletes pending compaction keep
+    # their postings (and header counts) in the shards, masked at query time.
+    dead = set()
+    if seed % 2:
+        dead = set(rng.sample(range(len(recipes)), rng.randint(1, len(recipes))))
+        delete_docs(manifest_path, doc_ids=sorted(dead))
+    survivors = [recipe for doc_id, recipe in enumerate(recipes) if doc_id not in dead]
+    builder = IndexBuilder()
+    for doc_id, recipe in enumerate(survivors):
+        builder.add(recipe, doc_id=doc_id)
+    monolithic = QueryEngine(builder.build(source="<survivors>"))
     sharded = QueryEngine(ShardedRecipeIndex.load(manifest_path))
     fields = list(_VOCAB)
 
     for _ in range(10):
         query = _random_query(rng)
-        top = rng.choice([0, 1, 3, 10, None])
         # Brute force: count matching docs per term, rank by (-count, term).
         counters = {field: {} for field in fields}
-        for recipe in recipes:
+        for recipe in survivors:
             if not matches_recipe(query, recipe):
                 continue
             entities = extract_entities(recipe)
             for field in fields:
                 for term in entities[field]:
                     counters[field][term] = counters[field].get(term, 0) + 1
-        expected = {
-            field: sorted(counter.items(), key=lambda row: (-row[1], row[0]))[
-                : (top if top is not None else len(counter))
-            ]
-            for field, counter in counters.items()
-        }
-        context = f"seed={seed} top={top} query={render_query(query)}"
-        assert monolithic.facets(query, fields, top=top) == expected, context
-        assert sharded.facets(query, fields, top=top) == expected, context
+        for top in (0, 1, 3, 10, None):
+            expected = {
+                field: sorted(counter.items(), key=lambda row: (-row[1], row[0]))[
+                    : (top if top is not None else len(counter))
+                ]
+                for field, counter in counters.items()
+            }
+            context = (
+                f"seed={seed} dead={len(dead)} top={top} query={render_query(query)}"
+            )
+            assert monolithic.facets(query, fields, top=top) == expected, context
+            assert sharded.facets(query, fields, top=top) == expected, context
+
+
+def test_sharded_facets_stop_before_counting_every_term(tmp_path):
+    # Zipf-shaped ingredient frequencies: name j is in every (j + 1)-th doc.
+    names = [f"herb{letter}" for letter in "abcdefghijklmnopqrstuvwx"]
+    recipes = [
+        StructuredRecipe(
+            recipe_id=f"z{i}",
+            title="",
+            ingredients=tuple(
+                IngredientRecord(phrase=f"1 {name}", name=name)
+                for j, name in enumerate(names)
+                if i % (j + 1) == 0
+            ),
+        )
+        for i in range(1, 97)
+    ]
+    path = tmp_path / "zipf.jsonl"
+    write_structured_jsonl(path, recipes)
+    manifest_path = tmp_path / "manifest.json"
+    build_sharded_index(path, manifest_path, num_shards=4, format="v2")
+    index = ShardedRecipeIndex.load(manifest_path)
+    engine = QueryEngine(index)
+
+    def decoded_blocks() -> int:
+        lazy = index.stats()["lazy"]
+        return lazy["hits"] + lazy["misses"]
+
+    before = decoded_blocks()
+    facets = engine.facets("NOT ingredient:herbx", "ingredient", top=1)
+    assert facets == {"ingredient": [("herba", 92)]}
+    # The NOT evaluation plus the winning term, shard by shard; every other
+    # term's global df is below the banked floor, so none of them is decoded.
+    assert decoded_blocks() - before < index.stats()["terms"]["ingredient"]
 
 
 def _random_sorted_lists(rng: random.Random) -> tuple[list[int], list[int]]:

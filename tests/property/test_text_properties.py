@@ -1,11 +1,17 @@
 """Property-based tests for the text substrate."""
 
+import re
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.text.lemmatizer import Lemmatizer
-from repro.text.normalize import fold_unicode_fractions, normalize_phrase, parse_quantity
+from repro.text.normalize import (
+    UNICODE_FRACTIONS,
+    fold_unicode_fractions,
+    normalize_phrase,
+    parse_quantity,
+)
 from repro.text.tokenizer import tokenize, tokenize_with_spans
 from repro.text.vocab import Vocabulary
 
@@ -18,6 +24,20 @@ recipe_text = st.text(
 )
 
 word = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
+
+#: ASCII, every unicode fraction, and non-ASCII digits (``\d`` matches them).
+fraction_text = st.text(
+    alphabet=string.printable + "".join(UNICODE_FRACTIONS) + "٣५߃",
+    max_size=40,
+)
+
+
+def _reference_fold_unicode_fractions(text: str) -> str:
+    """The original fold, kept verbatim: one fresh ``re.sub`` per fraction."""
+    for char, ascii_form in UNICODE_FRACTIONS.items():
+        text = re.sub(rf"(?<=\d){re.escape(char)}", f" {ascii_form}", text)
+        text = text.replace(char, ascii_form)
+    return text
 
 
 class TestTokenizerProperties:
@@ -62,6 +82,27 @@ class TestNormalizeProperties:
     def test_fold_unicode_fractions_removes_all_unicode_fractions(self, text):
         folded = fold_unicode_fractions(text)
         assert "½" not in folded and "¾" not in folded
+
+    @given(fraction_text)
+    @settings(max_examples=300)
+    @example("¼½")
+    @example("½¼")
+    @example("1½")
+    @example("٣½")
+    def test_fold_unicode_fractions_equals_the_reference_loop(self, text):
+        assert fold_unicode_fractions(text) == _reference_fold_unicode_fractions(text)
+
+    def test_fold_order_is_pinned(self):
+        assert fold_unicode_fractions("¼½") == "1/4 1/2"
+        assert fold_unicode_fractions("½¼") == "1/21/4"
+        assert fold_unicode_fractions("1½") == "1 1/2"
+        assert fold_unicode_fractions("٣½") == "٣ 1/2"
+
+    @given(fraction_text)
+    @settings(max_examples=150)
+    def test_memoized_normalize_phrase_equals_the_undecorated_function(self, text):
+        assert normalize_phrase(text) == normalize_phrase.__wrapped__(text)
+        assert normalize_phrase(text) == normalize_phrase.__wrapped__(text)  # hit
 
     @given(st.integers(min_value=0, max_value=500))
     def test_parse_quantity_parses_integers(self, value):
